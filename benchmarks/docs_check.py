@@ -30,7 +30,6 @@ PAGES = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
 #: Pages whose ``>>>`` blocks are executed.
 DOCTEST_PAGES = [
     REPO / "docs" / "symexec.md",
-    REPO / "docs" / "symexec-summaries.md",
 ]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

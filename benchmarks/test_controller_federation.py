@@ -9,12 +9,14 @@ million-tenant regime scaled to CI) split across N controller shards,
 each admission paying the honest per-request cost against its shard's
 resident state (model signature + module graft + symbolic check).
 
-Sharding wins because the per-admission cost is linear in the *shard's*
-resident count, not the federation's: N shards each carry R/N
-residents, so admissions get ~N times cheaper while running in
-parallel.  The modeled parallel wall-clock charges each shard its own
-busy time and the federation the slowest shard (the
-:class:`~repro.core.cluster.ControllerPool` convention).
+Sharding wins because the shards answer in parallel, each against its
+own segment; the per-admission cost barely depends on the shard's
+resident count (a request grafts one module onto the shard's cached
+model, and a commit patches it instead of recompiling the residents).
+The modeled parallel
+wall-clock charges each shard its own busy time and the federation the
+slowest shard (the :class:`~repro.core.cluster.ControllerPool`
+convention).
 
 Gate (run via ``python benchmarks/test_controller_federation.py``):
 median admission throughput at 4 shards must be >= 2x the 1-shard

@@ -134,21 +134,22 @@ def _middlebox_model_factory(element) -> Callable:
             results.append((iface, out_flow))
         return results
 
-    # Marks the wrapper for the summary compiler, which rebuilds the
-    # same iface mapping around the element's transfer function.
-    middlebox_model.summary_kind = "middlebox"
     return middlebox_model
 
 
 class _PlatformState:
     """Payload of a platform vertex."""
 
-    def __init__(self, platform: Platform, uplink_port: int,
-                 module_order: List[str]):
+    def __init__(self, platform: Platform, uplink_port: int):
         self.platform = platform
         self.uplink_port = uplink_port
-        self.module_order = module_order  # deterministic pseudo-ports
-        #: Memoized (raw branches identity, module order, result) for
+        #: module name -> switch slot, for every module spliced into the
+        #: graph behind this platform (its pseudo-ports are
+        #: ``MODULE_INGRESS_BASE + slot`` / ``MODULE_EGRESS_BASE + slot``).
+        self.slots: Dict[str, int] = {}
+        #: Bumped whenever a module is spliced in or out.
+        self.version = 0
+        #: Memoized (raw branches identity, version, result) for
         #: :meth:`module_branches`.
         self._demux_cache: Optional[tuple] = None
         #: Memoized (module snapshot, complement set) for
@@ -163,32 +164,32 @@ class _PlatformState:
         Read from the platform's OpenFlow-style table, so the symbolic
         demux follows exactly the rules the controller installed.
         Memoized under the fast path: valid while the flow table hands
-        back the same (memoized) branch list and the module order is
-        unchanged -- any install/remove or (un)graft invalidates it.
+        back the same (memoized) branch list and no module was spliced
+        in or out -- any install/remove or (un)graft invalidates it.
         """
         from repro.netmodel.flowtable import ACTION_TO_MODULE
 
         raw = self.platform.flow_table.symbolic_branches()
-        order = self.module_order
         if OPT.enabled:
             cached = self._demux_cache
             if (
                 cached is not None
                 and cached[0] is raw
-                and cached[1] == order
+                and cached[1] == self.version
             ):
                 OPT.memo_hits += 1
                 return cached[2]
+        slots = self.slots
         branches = []
         for action, residual in raw:
             if action.kind != ACTION_TO_MODULE:
                 continue
-            if action.target not in order:
+            slot = slots.get(action.target)
+            if slot is None:
                 continue
-            index = order.index(action.target)
-            branches.append((MODULE_INGRESS_BASE + index, residual))
+            branches.append((MODULE_INGRESS_BASE + slot, residual))
         if OPT.enabled:
-            self._demux_cache = (raw, list(order), branches)
+            self._demux_cache = (raw, self.version, branches)
         return branches
 
     def egress_complement(self) -> IntervalSet:
@@ -266,21 +267,55 @@ class CompiledNetwork:
     def __init__(self, network: Network, graph: SymGraph):
         self.network = network
         self.graph = graph
-        #: The network epoch this model was compiled at; the owner
-        #: (the controller) compares it against ``network.epoch`` to
-        #: decide whether the model is still current.
-        self.epoch = network.epoch
-        #: module name -> (platform name, assigned address, ClickConfig).
+        #: module name -> (platform name, assigned address, ClickConfig),
+        #: for every module spliced into the graph.
         self.modules: Dict[str, Tuple[str, int, object]] = {}
-        for platform in network.platforms():
-            for name, (address, config) in platform.modules.items():
-                self.modules[name] = (platform.name, address, config)
+        #: module name -> the graph vertices its splice created.
+        self._module_nodes: Dict[str, List[str]] = {}
 
     # -- incremental updates ------------------------------------------------
-    @property
-    def is_current(self) -> bool:
-        """Whether the underlying network is still at our epoch."""
-        return self.epoch == self.network.epoch
+    def add_module(
+        self, platform_name: str, module_id: str, address: int, config
+    ) -> None:
+        """Splice one module's branch behind its platform's demux.
+
+        The module's pseudo-ports come from its switch slot on the
+        platform (:meth:`Platform.module_slot`), the same rule
+        :meth:`NetworkCompiler.compile` uses, so patching a model module
+        by module yields exactly the graph a fresh compile of the same
+        snapshot builds.  Costs O(module size), whatever else the
+        network runs.
+        """
+        if module_id in self.modules:
+            raise VerificationError(
+                "module %r already present in the model" % (module_id,)
+            )
+        state: _PlatformState = self.graph.payloads[platform_name]
+        slot = state.platform.module_slot(module_id)
+        # Registered before splicing, so remove_module can undo a
+        # splice that failed half-way.
+        self.modules[module_id] = (platform_name, address, config)
+        nodes = self._module_nodes[module_id] = []
+        state.slots[module_id] = slot
+        state.version += 1
+        _splice_module(
+            self.graph, platform_name, module_id, config, slot, nodes
+        )
+
+    def remove_module(self, module_id: str) -> None:
+        """Unsplice a module (no-op when it is not in the model).
+
+        Removing its vertices drops every edge touching them, the two
+        splice edges into the platform demux included.
+        """
+        info = self.modules.pop(module_id, None)
+        for name in self._module_nodes.pop(module_id, ()):
+            self.graph.remove_node(name)
+        if info is not None:
+            state = self.graph.payloads.get(info[0])
+            if isinstance(state, _PlatformState):
+                state.slots.pop(module_id, None)
+                state.version += 1
 
     @contextmanager
     def with_trial_module(
@@ -291,42 +326,22 @@ class CompiledNetwork:
         The admission fast path: instead of recompiling every node
         model for each candidate placement, the already-compiled
         operator network is reused and only the platform-local module
-        subgraph (its elements, internal wiring, and the two splice
-        edges into the platform's demux) is added -- and removed again
-        on exit, leaving the shared model untouched.  The platform's
-        steering rules are read live from its flow table, so the caller
-        must have trial-deployed the module on the platform
+        subgraph is added (:meth:`add_module`) -- and removed again on
+        exit, leaving the shared model untouched.  The platform's
+        steering rules and the module's slot are read live from the
+        platform, so the caller must have trial-deployed the module
         (``platform.deploy``) before entering, and undeploy after.
-
-        Exploration over the grafted graph is equivalent to a full
-        recompile of the trial snapshot (module pseudo-port numbering
-        may differ; it is internal to the platform demux).
         """
         if module_id in self.graph.models or module_id in self.modules:
             raise VerificationError(
                 "trial module %r already present in the model"
                 % (module_id,)
             )
-        state: _PlatformState = self.graph.payloads[platform_name]
-        index = len(state.module_order)
-        state.module_order.append(module_id)
-        added_nodes: List[str] = []
-        added_edges: List[Tuple[str, int]] = []
         try:
-            _splice_module(
-                self.graph, platform_name, module_id, config, index,
-                added_nodes=added_nodes, added_edges=added_edges,
-            )
-            self.modules[module_id] = (platform_name, address, config)
+            self.add_module(platform_name, module_id, address, config)
             yield self
         finally:
-            self.modules.pop(module_id, None)
-            for key in added_edges:
-                self.graph.edges.pop(key, None)
-            self.graph.version += 1  # direct edge surgery above
-            for name in added_nodes:
-                self.graph.remove_node(name)
-            state.module_order.remove(module_id)
+            self.remove_module(module_id)
 
     # -- engine -----------------------------------------------------------
     def engine(self, **kwargs) -> SymbolicEngine:
@@ -511,10 +526,8 @@ class NetworkCompiler:
                 )
             elif isinstance(node, Platform):
                 uplink = min(node.ports) if node.ports else 0
-                state = _PlatformState(
-                    node, uplink, sorted(node.modules)
-                )
-                graph.add_node(node.name, _platform_model, payload=state)
+                graph.add_node(node.name, _platform_model,
+                               payload=_PlatformState(node, uplink))
             else:
                 raise VerificationError(
                     "cannot compile node %r of kind %r"
@@ -525,13 +538,11 @@ class NetworkCompiler:
             graph.connect(link.a, link.a_port, link.b, link.b_port)
             graph.connect(link.b, link.b_port, link.a, link.a_port)
         # 3. Deployed modules, spliced behind their platform's demux.
+        compiled = CompiledNetwork(self.network, graph)
         for platform in self.network.platforms():
-            state: _PlatformState = graph.payloads[platform.name]
-            for index, module_name in enumerate(state.module_order):
-                _address, config = platform.modules[module_name]
-                _splice_module(graph, platform.name, module_name,
-                               config, index)
-        return CompiledNetwork(self.network, graph)
+            for name, (address, config) in platform.modules.items():
+                compiled.add_module(platform.name, name, address, config)
+        return compiled
 
 
 def _splice_module(
@@ -539,23 +550,15 @@ def _splice_module(
     platform_name: str,
     module_name: str,
     config,
-    index: int,
-    added_nodes: Optional[List[str]] = None,
-    added_edges: Optional[List[Tuple[str, int]]] = None,
+    slot: int,
+    added_nodes: List[str],
 ) -> None:
     """Add one module's elements behind its platform's demux.
 
-    Used both by the full compiler and by incremental grafting
-    (:meth:`CompiledNetwork.with_trial_module`); the optional
-    ``added_nodes``/``added_edges`` lists collect what was created so a
-    graft can be undone exactly.
+    ``added_nodes`` collects the vertices created, so the splice can be
+    undone exactly (removing them drops every edge touching them).
     """
     from repro.click.element import create_element
-
-    def _connect(src, src_port, dst, dst_port):
-        graph.connect(src, src_port, dst, dst_port)
-        if added_edges is not None:
-            added_edges.append((src, src_port))
 
     prefix = module_name + "/"
     for name, decl in config.elements.items():
@@ -566,11 +569,10 @@ def _splice_module(
             payload=element,
             is_sink=False,  # egress re-enters the platform
         )
-        if added_nodes is not None:
-            added_nodes.append(prefix + name)
+        added_nodes.append(prefix + name)
     for edge in config.edges:
-        _connect(prefix + edge.src, edge.src_port,
-                 prefix + edge.dst, edge.dst_port)
+        graph.connect(prefix + edge.src, edge.src_port,
+                      prefix + edge.dst, edge.dst_port)
     entry_classes = ("FromNetfront", "FromDevice")
     exit_classes = ("ToNetfront", "ToDevice")
     sources = [
@@ -586,12 +588,12 @@ def _splice_module(
             "module %r needs a FromNetfront source and a ToNetfront "
             "sink to be spliced" % (module_name,)
         )
-    _connect(
-        platform_name, MODULE_INGRESS_BASE + index,
+    graph.connect(
+        platform_name, MODULE_INGRESS_BASE + slot,
         prefix + sources[0], 0,
     )
     for sink in sinks:
-        _connect(
+        graph.connect(
             prefix + sink, 0,
-            platform_name, MODULE_EGRESS_BASE + index,
+            platform_name, MODULE_EGRESS_BASE + slot,
         )

@@ -18,6 +18,7 @@ tables" the controller verifies against (Section 4.3).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Dict, List, Optional, Tuple
 
@@ -152,6 +153,16 @@ class Platform(Node):
         self.up = True
         #: module name -> (assigned address, ClickConfig).
         self.modules: Dict[str, Tuple[int, object]] = {}
+        #: module name -> switch slot (the module's pseudo-ports in the
+        #: compiled model): the lowest free slot at deploy, so a fresh
+        #: compile and an incrementally patched model number every
+        #: module's ports identically.
+        self.slots: Dict[str, int] = {}
+        self._free_slots: List[int] = []  # min-heap of released slots
+        self._next_slot = 0
+        #: Bumped by every deploy and undeploy; the placement part of
+        #: :meth:`Network.model_signature`.
+        self.placement_version = 0
         self._next_offset = 1
         #: Addresses handed out but returned unused (failed/aborted
         #: placements); reused lowest-first before fresh offsets.
@@ -302,6 +313,8 @@ class Platform(Node):
                 % (module_name, self.name)
             )
         self.modules[module_name] = (address, config)
+        self.module_slot(module_name)
+        self.placement_version += 1
         from repro.netmodel.flowtable import module_steering_rule
 
         module_steering_rule(
@@ -311,8 +324,26 @@ class Platform(Node):
 
     def undeploy(self, module_name: str) -> None:
         """Remove a deployed module and its flow rules."""
-        self.modules.pop(module_name, None)
+        if self.modules.pop(module_name, None) is not None:
+            self.placement_version += 1
+        slot = self.slots.pop(module_name, None)
+        if slot is not None:
+            heapq.heappush(self._free_slots, slot)
         self.flow_table.remove_by_cookie(module_name)
+
+    def module_slot(self, module_name: str) -> int:
+        """The module's switch slot, assigning the lowest free one if
+        it has none yet (a module written into :attr:`modules`
+        directly rather than through :meth:`deploy`)."""
+        slot = self.slots.get(module_name)
+        if slot is None:
+            if self._free_slots:
+                slot = heapq.heappop(self._free_slots)
+            else:
+                slot = self._next_slot
+                self._next_slot += 1
+            self.slots[module_name] = slot
+        return slot
 
     def module_address(self, module_name: str) -> int:
         """Assigned address of a deployed module."""
@@ -409,26 +440,19 @@ class Network:
     def model_signature(self) -> int:
         """Hash of everything a compiled symbolic model depends on.
 
-        Topology signature + committed module placement + the explicit
-        epoch, so cached :class:`~repro.netmodel.symgraph.CompiledNetwork`
-        instances are invalidated both by real state changes and by
-        explicit :meth:`bump_epoch` calls.
+        Topology signature + every platform's placement counter + the
+        explicit epoch, so cached
+        :class:`~repro.netmodel.symgraph.CompiledNetwork` instances are
+        invalidated by real state changes, by ``Platform.deploy`` /
+        ``undeploy`` calls made behind the controller's back, and by
+        explicit :meth:`bump_epoch` calls.  Costs O(nodes + links),
+        independent of how many modules are deployed.
         """
-        placement = []
-        for platform in self.platforms():
-            placement.append((
-                platform.name,
-                tuple(sorted(
-                    (name, address, id(config))
-                    for name, (address, config)
-                    in platform.modules.items()
-                )),
-            ))
-        return hash((
-            self._epoch,
-            self.topology_signature(),
-            tuple(placement),
-        ))
+        placement = tuple(
+            (platform.name, platform.placement_version)
+            for platform in self.platforms()
+        )
+        return hash((self._epoch, self.topology_signature(), placement))
 
     # -- node constructors ---------------------------------------------------
     def _add(self, node: Node) -> Node:

@@ -15,9 +15,8 @@ analysis that idea requires:
 * :mod:`repro.symexec.reachability` -- evaluation of the paper's
   ``reach`` requirements (including ``const`` invariants) against the
   exploration output,
-* :mod:`repro.symexec.summaries` -- SymNet-style compositional
-  summaries: per-element transfer functions, composed segment chains,
-  and footprint-keyed verdict reuse for incremental re-verification.
+* :mod:`repro.symexec.incremental` -- footprint-keyed verdict reuse
+  for incremental re-verification.
 """
 
 from repro.symexec.engine import (
@@ -34,23 +33,16 @@ from repro.symexec.equivalence import (
     explorations_equivalent,
     flow_signature,
 )
-from repro.symexec.models import (
-    model_for,
-    models_registry,
-    summarizer_for,
-    summarizers_registry,
+from repro.symexec.incremental import (
+    UNCHANGED_SCOPE,
+    ChangedScope,
+    VerificationCache,
 )
+from repro.symexec.models import model_for, models_registry
 from repro.symexec.reachability import (
     InvariantViolation,
     ReachabilityChecker,
     ReachResult,
-)
-from repro.symexec.summaries import (
-    UNCHANGED_SCOPE,
-    ChangedScope,
-    SegmentSummary,
-    SummaryCache,
-    VerificationCache,
 )
 from repro.symexec.sympacket import SymPacket, SymVar, VarFactory
 from repro.symexec.tuning import (
@@ -78,10 +70,6 @@ __all__ = [
     "explorations_equivalent",
     "flow_signature",
     "models_registry",
-    "summarizer_for",
-    "summarizers_registry",
-    "SummaryCache",
-    "SegmentSummary",
     "VerificationCache",
     "ChangedScope",
     "UNCHANGED_SCOPE",

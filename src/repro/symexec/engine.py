@@ -19,7 +19,7 @@ flows stays proportional to real forwarding alternatives.
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Tuple,
+    Callable, Dict, List, NamedTuple, Optional, Set, Tuple,
 )
 
 from repro.common.errors import VerificationError
@@ -255,9 +255,11 @@ class SymGraph:
         #: Opaque per-node payloads models may consult (element instance,
         #: routing table, ...).
         self.payloads: Dict[str, object] = {}
-        #: Structural version: bumped by every node/edge mutation so
-        #: derived tables (segment summaries) can validate in O(1).
-        self.version = 0
+        #: node -> its wired output ports, and node -> the edge keys
+        #: leading into it: per-node indexes over ``edges`` so port
+        #: queries and node removal cost O(degree), not O(edges).
+        self._out_ports: Dict[str, Set[int]] = {}
+        self._in_edges: Dict[str, Set[Tuple[str, int]]] = {}
 
     def add_node(
         self,
@@ -272,7 +274,8 @@ class SymGraph:
         self.models[name] = model
         self.payloads[name] = payload
         self.sinks[name] = is_sink
-        self.version += 1
+        self._out_ports[name] = set()
+        self._in_edges[name] = set()
 
     def connect(
         self, src: str, src_port: int, dst: str, dst_port: int
@@ -281,26 +284,40 @@ class SymGraph:
         for name in (src, dst):
             if name not in self.models:
                 raise VerificationError("edge references unknown %r" % name)
-        self.edges[(src, src_port)] = (dst, dst_port)
-        self.version += 1
+        key = (src, src_port)
+        old = self.edges.get(key)
+        if old is not None:
+            self._in_edges[old[0]].discard(key)
+        self.edges[key] = (dst, dst_port)
+        self._out_ports[src].add(src_port)
+        self._in_edges[dst].add(key)
+
+    def disconnect(self, src: str, src_port: int) -> None:
+        """Remove the edge leaving ``src[src_port]`` (if wired)."""
+        key = (src, src_port)
+        dst = self.edges.pop(key, None)
+        if dst is None:
+            return
+        self._out_ports[src].discard(src_port)
+        self._in_edges[dst[0]].discard(key)
 
     def remove_node(self, name: str) -> None:
         """Unregister a node and every edge touching it.
 
-        Incremental network compilation uses this to ungraft a trial
-        module's branch; unknown names are ignored so teardown is
-        idempotent.
+        Incremental network compilation uses this to ungraft a module's
+        branch; unknown names are ignored so teardown is idempotent.
         """
-        self.models.pop(name, None)
-        self.sinks.pop(name, None)
-        self.payloads.pop(name, None)
-        stale = [
-            key for key, dst in self.edges.items()
-            if key[0] == name or dst[0] == name
-        ]
-        for key in stale:
-            del self.edges[key]
-        self.version += 1
+        if name not in self.models:
+            return
+        for port in list(self._out_ports[name]):
+            self.disconnect(name, port)
+        for src, src_port in list(self._in_edges[name]):
+            self.disconnect(src, src_port)
+        del self.models[name]
+        del self.sinks[name]
+        del self.payloads[name]
+        del self._out_ports[name]
+        del self._in_edges[name]
 
     def successor(
         self, node: str, port: int
@@ -310,7 +327,7 @@ class SymGraph:
 
     def connected_outputs(self, node: str) -> List[int]:
         """The wired output ports of ``node``."""
-        return sorted(p for (n, p) in self.edges if n == node)
+        return sorted(self._out_ports.get(node, ()))
 
     @classmethod
     def from_click(
@@ -403,7 +420,6 @@ class SymbolicEngine:
         max_steps: int = 200_000,
         max_hops: int = 4_096,
         obs=None,
-        summaries=None,
     ):
         from repro.obs import NULL_OBSERVABILITY
 
@@ -412,11 +428,6 @@ class SymbolicEngine:
         self.max_steps = max_steps
         self.max_hops = max_hops
         self.context = ModelContext(graph, self.factory)
-        #: Optional :class:`repro.symexec.summaries.SummaryCache`.  When
-        #: set (and the fast path is on), exploration dispatches through
-        #: compiled transfer functions and replays composed segment
-        #: summaries instead of interpreting each element model.
-        self.summaries = summaries
         #: Observability bundle; defaults to the shared no-op bundle so
         #: the hot loop never branches on presence.
         self.obs = obs if obs is not None else NULL_OBSERVABILITY
@@ -548,93 +559,12 @@ class SymbolicEngine:
         worklist_append = worklist.append
         entry_cls = TraceEntry
         steps = result.steps
-        # Summary dispatch tables.  Compiled transfer functions replace
-        # model lookups one for one, and composed segment chains are
-        # replayed inline below -- both are byte-for-byte equivalent to
-        # the generic path, so gating on OPT keeps seed mode exact.
-        summaries = self.summaries
-        if summaries is not None and OPT.enabled:
-            tables = summaries.tables_for(graph)
-            segment_get = tables.segments.get
-            program_get = tables.programs.get
-        else:
-            segment_get = None
-            program_get = None
         try:
             while worklist:
                 current_node, in_port, current = worklist_pop()
                 if not current.alive:
                     dropped_append(current)
                     continue
-                if segment_get is not None:
-                    hops = segment_get((current_node, in_port))
-                    if hops is not None:
-                        # Replay the composed segment for this one flow.
-                        # Per hop this runs the exact per-step protocol
-                        # of the generic loop; forks on the chain's one
-                        # wired output spill back to the worklist (all
-                        # but the last, which the seed's LIFO pop would
-                        # process next and which we carry instead), and
-                        # outputs on any other port dangle and drop.
-                        index = 0
-                        n_hops = len(hops)
-                        while index < n_hops:
-                            hop = hops[index]
-                            if len(current.trace) >= max_hops:
-                                raise VerificationError(
-                                    "flow exceeded %d hops (loop in the"
-                                    " model graph?)" % max_hops
-                                )
-                            steps += 1
-                            if steps > max_steps:
-                                raise VerificationError(
-                                    "exploration exceeded %d steps"
-                                    % max_steps
-                                )
-                            if current._history_shared:
-                                current._own_history()
-                            packet = current.packet
-                            snap = packet._snapshot
-                            if snap is None:
-                                snap = packet.snapshot()
-                            current.trace.append(
-                                entry_cls(hop.node, hop.port, snap)
-                            )
-                            arrivals_setdefault(
-                                (hop.node, hop.port), []
-                            ).append(current)
-                            if hop.is_sink:
-                                delivered_append(current)
-                                break
-                            outputs = hop.program(
-                                context, hop.node, hop.port, current
-                            )
-                            if not outputs:
-                                dropped_append(current)
-                                break
-                            wired = hop.wired_port
-                            carry = None
-                            for out_port, out_flow in outputs:
-                                if not out_flow.alive \
-                                        or out_port != wired:
-                                    dropped_append(out_flow)
-                                    continue
-                                if carry is not None:
-                                    worklist_append((
-                                        hop.succ_node, hop.succ_port,
-                                        carry,
-                                    ))
-                                carry = out_flow
-                            if carry is None:
-                                break
-                            current = carry
-                            index += 1
-                            if index == n_hops:
-                                worklist_append((
-                                    hop.succ_node, hop.succ_port,
-                                    current,
-                                ))
-                        continue
                 if len(current.trace) >= max_hops:
                     raise VerificationError(
                         "flow exceeded %d hops (loop in the model"
@@ -660,13 +590,9 @@ class SymbolicEngine:
                 if sinks[current_node]:
                     delivered_append(current)
                     continue
-                if program_get is not None:
-                    model = program_get(current_node)
-                    if model is None:
-                        model = models[current_node]
-                else:
-                    model = models[current_node]
-                outputs = model(context, current_node, in_port, current)
+                outputs = models[current_node](
+                    context, current_node, in_port, current
+                )
                 if not outputs:
                     dropped_append(current)
                     continue

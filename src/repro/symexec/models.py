@@ -78,47 +78,6 @@ def has_model(class_name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Summarizers (transfer-function compilers, populated by
-# :mod:`repro.symexec.summaries`)
-# ---------------------------------------------------------------------------
-
-#: class name -> summarizer.  A summarizer takes one configured element
-#: instance and returns a *transfer function* with the model signature
-#: but the element's parsed configuration pre-bound -- or the registered
-#: model itself when the model carries no payload-derived state.
-_SUMMARIZERS: Dict[str, Callable[[object], Model]] = {}
-
-
-def register_summary(class_name: str):
-    """Decorator registering a transfer-function summarizer."""
-
-    def decorate(fn: Callable[[object], Model]):
-        if class_name in _SUMMARIZERS:
-            raise VerificationError(
-                "summarizer for %r registered twice" % (class_name,)
-            )
-        if class_name not in _MODELS:
-            raise VerificationError(
-                "summarizer for %r has no base model" % (class_name,)
-            )
-        _SUMMARIZERS[class_name] = fn
-        return fn
-
-    return decorate
-
-
-def summarizer_for(class_name: str):
-    """The registered summarizer for ``class_name`` (None = unsummarized;
-    such elements simply keep the generic model path)."""
-    return _SUMMARIZERS.get(class_name)
-
-
-def summarizers_registry() -> Dict[str, Callable[[object], Model]]:
-    """A copy of the class-name -> summarizer registry."""
-    return dict(_SUMMARIZERS)
-
-
-# ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
 

@@ -368,15 +368,6 @@ class TestModelCache:
         controller.network.bump_epoch()
         assert controller._ensure_compiled() is not first
 
-    def test_commit_invalidates(self):
-        controller = Controller(figure3_network())
-        first = controller._ensure_compiled()
-        result = controller.request(batcher_request("batcher"))
-        assert result.accepted
-        second = controller._ensure_compiled()
-        assert second is not first
-        assert "batcher" in second.modules
-
     def test_explicit_invalidate(self):
         controller = Controller(figure3_network())
         first = controller._ensure_compiled()

@@ -1,6 +1,6 @@
 """Incremental re-verification: the footprint-keyed verdict cache.
 
-The controller's :class:`~repro.symexec.summaries.VerificationCache`
+The controller's :class:`~repro.symexec.incremental.VerificationCache`
 claims a verdict may be reused exactly while (a) the topology signature
 is unchanged, (b) every routing/flow table in the verdict's reachability
 footprint still carries the version recorded at store time, and (c) no
@@ -212,7 +212,7 @@ class TestSeedModeRoundTrip:
         controller.verify_snapshot()
         stats = cache_stats(controller)
         assert stats["stores"] == stats["hits"] == 0
-        assert controller._summaries is None
+        assert stats["entries"] == 0
 
     def test_invalidate_model_cache_flushes_everything(self):
         controller = Controller(star_network(3), policy(3))
@@ -220,15 +220,31 @@ class TestSeedModeRoundTrip:
         assert cache_stats(controller)["entries"] == 3
         controller.invalidate_model_cache()
         assert cache_stats(controller)["entries"] == 0
-        assert controller._summaries._tables is None
+        assert controller.stats()["model_epoch_cached"] is False
+        # The next use recompiles, counted under the invalidation.
+        controller.verify_snapshot()
+        compiles = controller.stats()["model_compiles"]
+        assert compiles["cold"] == compiles["invalidated"] == 1
 
 
 class TestStats:
-    def test_stats_exposes_summary_and_verification_tiers(self):
+    def test_stats_exposes_model_and_verification_tiers(self):
         controller = Controller(star_network(3), policy(3))
         controller.verify_snapshot()
         stats = controller.stats()
-        assert "symexec_summaries" in stats
         assert "verification_cache" in stats
         assert stats["verification_cache"]["entries"] == 3
-        assert stats["symexec_summaries"]["misses"] >= 1
+        assert stats["model_compiles"] == {
+            "cold": 1, "stale": 0, "invalidated": 0, "recovered": 0,
+        }
+        assert stats["model_patches"] == {
+            "commit": 0, "kill": 0, "migrate": 0, "adopt": 0,
+        }
+        # A second snapshot is served by the cached model; the legacy
+        # per-layer view reports the same reuse.
+        controller.verify_snapshot()
+        stats = controller.stats()
+        assert stats["model_hits"] == 1
+        assert stats["symexec_summaries"] == {
+            "hits": 1, "misses": 1, "invalidations": 0,
+        }

@@ -135,6 +135,43 @@ class TestLoopProtection:
             eng.inject("a")
 
 
+class TestGraphIndexes:
+    """The per-node port indexes agree with the edge map."""
+
+    @staticmethod
+    def _graph():
+        graph = SymGraph()
+        for name in ("a", "b", "c"):
+            graph.add_node(name, lambda ctx, n, p, f: [(0, f)])
+        graph.connect("a", 2, "b", 0)
+        graph.connect("a", 0, "c", 0)
+        graph.connect("b", 0, "c", 1)
+        graph.connect("c", 0, "a", 0)
+        return graph
+
+    def test_connected_outputs_follow_edges(self):
+        graph = self._graph()
+        assert graph.connected_outputs("a") == [0, 2]
+        assert graph.connected_outputs("unknown") == []
+        graph.connect("a", 2, "c", 2)  # rewiring keeps one edge
+        assert graph.connected_outputs("a") == [0, 2]
+        graph.disconnect("a", 0)
+        assert graph.connected_outputs("a") == [2]
+        assert ("a", 0) not in graph.edges
+
+    def test_remove_node_drops_in_and_out_edges(self):
+        graph = self._graph()
+        graph.remove_node("c")
+        assert graph.edges == {("a", 2): ("b", 0)}
+        assert graph.connected_outputs("b") == []
+        graph.remove_node("c")  # idempotent
+        graph.add_node("c", lambda ctx, n, p, f: [])
+        graph.connect("b", 0, "c", 0)
+        graph.remove_node("b")
+        assert graph.edges == {}
+        assert graph.connected_outputs("a") == []
+
+
 class TestInjectDeparture:
     def test_origin_recorded_at_port_minus_one(self):
         graph = SymGraph()
